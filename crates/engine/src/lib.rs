@@ -28,7 +28,8 @@
 //!   as the differential-test oracle);
 //! * [`exact`] — an exact-parity core reproducing the legacy runner's
 //!   decisions round-for-round (differentially tested), with a
-//!   dedup-compressed Hopcroft–Karp fast path for MaxCard.
+//!   dedup-compressed Hopcroft–Karp fast path for MaxCard over a support
+//!   adjacency maintained across rounds.
 //!
 //! ## Entry points
 //!

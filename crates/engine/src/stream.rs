@@ -52,12 +52,15 @@ impl StreamStats {
         }
     }
 
+    /// Count one dispatch. Saturating at `u64::MAX`: a flow released at
+    /// the last representable round still gets `makespan` `u64::MAX`
+    /// and response 1, never a wrapped 0.
     pub(crate) fn on_dispatch(&mut self, release: u64, round: u64) {
-        let rho = round + 1 - release;
+        let rho = round.saturating_sub(release).saturating_add(1);
         self.dispatched += 1;
         self.total_response += u128::from(rho);
         self.max_response = self.max_response.max(rho);
-        self.makespan = round + 1;
+        self.makespan = round.saturating_add(1);
     }
 }
 
@@ -107,8 +110,8 @@ pub(crate) fn drive_exact<S: FlowSource>(
                 }
             }
         });
-        stats.peak_queue = stats.peak_queue.max(core.waiting.len());
-        if core.waiting.is_empty() {
+        stats.peak_queue = stats.peak_queue.max(core.waiting().len());
+        if core.waiting().is_empty() {
             continue;
         }
         tele.decision(|| core.select(t, selector));
@@ -117,7 +120,7 @@ pub(crate) fn drive_exact<S: FlowSource>(
         }
         span!(tele, Stage::Dispatch, {
             for i in 0..core.selection.len() {
-                let w = core.waiting[core.selection[i]];
+                let w = core.waiting()[core.selection[i]];
                 stats.on_dispatch(w.release, t);
                 on_dispatch(u64::from(w.id.0), w.release, t);
             }
@@ -125,7 +128,7 @@ pub(crate) fn drive_exact<S: FlowSource>(
         span!(tele, Stage::QueueUpdate, {
             core.remove_selection();
         });
-        if !core.waiting.is_empty() {
+        if !core.waiting().is_empty() {
             events.push(t + 1, EventKind::Dispatch);
         }
         tele.round();
@@ -278,6 +281,10 @@ pub(crate) fn drive_weighted<S: FlowSource>(
                 let (rec, _now_empty) = queues.pop_oldest(p, q);
                 stats.on_dispatch(rec.release, t);
                 on_dispatch(rec.id, rec.release, t);
+            }
+        });
+        span!(tele, Stage::QueueUpdate, {
+            for &(p, q) in &sel {
                 matcher.note(p, q);
             }
         });
@@ -334,6 +341,59 @@ mod tests {
         assert_eq!(stats.dispatched as usize, seen.len());
         assert!(stats.max_response >= 1);
         assert!(stats.mean_response() >= 1.0);
+    }
+
+    #[test]
+    fn weighted_drive_times_its_queue_update_stage() {
+        for model in [WeightModel::MinRTime, WeightModel::MaxWeight] {
+            let mut tele = EngineTelemetry::enabled();
+            let source = PoissonSource::new(9, 7.0, Some(25), 3);
+            drive_weighted(source, model, &mut tele, |_, _, _| {});
+            assert!(
+                tele.stage_ns(Stage::QueueUpdate) > 0,
+                "{model:?}: dispatched-cell notes must be timed as queue_update"
+            );
+        }
+    }
+
+    #[test]
+    fn dispatch_stats_saturate_at_the_last_round() {
+        let mut stats = StreamStats::default();
+        stats.on_dispatch(u64::MAX, u64::MAX);
+        assert_eq!(stats.makespan, u64::MAX);
+        assert_eq!(stats.max_response, 1);
+        stats.on_dispatch(0, u64::MAX);
+        assert_eq!(stats.max_response, u64::MAX);
+        assert_eq!(stats.total_response, 1 + u128::from(u64::MAX));
+        assert_eq!(stats.dispatched, 2);
+
+        // End to end: one flow released at the last round, every drive.
+        struct LastRound(bool);
+        impl crate::source::FlowSource for LastRound {
+            fn m_in(&self) -> usize {
+                1
+            }
+            fn m_out(&self) -> usize {
+                1
+            }
+            fn next_arrival(&mut self) -> Option<crate::source::Arrival> {
+                std::mem::take(&mut self.0).then_some(crate::source::Arrival {
+                    id: 0,
+                    src: 0,
+                    dst: 0,
+                    release: u64::MAX,
+                })
+            }
+        }
+        let tele = &mut EngineTelemetry::disabled();
+        for stats in [
+            drive_exact(LastRound(true), &mut Selector::MaxCard, tele, |_, _, _| {}),
+            drive_incremental(LastRound(true), tele, |_, _, _| {}),
+            drive_weighted(LastRound(true), WeightModel::MinRTime, tele, |_, _, _| {}),
+        ] {
+            assert_eq!((stats.dispatched, stats.makespan), (1, u64::MAX));
+            assert_eq!(stats.max_response, 1);
+        }
     }
 
     #[test]
